@@ -191,6 +191,9 @@ func (e *Engine) MinRS(ctx context.Context, d *Dataset, w, h float64, opts ...Qu
 		return Result{}, err
 	}
 	res.Score = -res.Score
+	if res.Score == 0 {
+		res.Score = 0 // the negation of a +0 optimum is -0
+	}
 	return res, nil
 }
 

@@ -53,7 +53,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"maxrs/internal/em"
@@ -362,22 +361,28 @@ func (s *task) solveFused(next func() (rec.WRect, error)) (_ sweep.Result, err e
 // baseCaseResident handles a root problem that fits in memory. The event
 // run buffer cannot have spilled (capacity equals the events-per-run
 // bound, and the edge buffer is strictly smaller than its own), so the
-// resident events are sorted in place — the same stable sort, comparator
-// and input order as the run the unfused path would spill — and swept
-// without any event, edge, or sorted file ever touching the disk.
+// sweep input is built from the resident events without any event, edge,
+// or sorted file ever touching the disk. The sweep reads only the bottom
+// events, and a stable sort filtered to the bottoms is the stable sort of
+// the bottoms, so the bottoms are kept first and sorted alone — n records
+// instead of 2n — with the comparator of the run the unfused path would
+// spill. The sweep receives the same rectangle sequence either way.
 func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (*em.File, error) {
 	events, err := evb.Take()
 	if err != nil {
 		return nil, err
 	}
 	edb.Discard()
-	sort.SliceStable(events, func(i, j int) bool { return lessEventY(events[i], events[j]) })
-	rects := make([]rec.WRect, 0, len(events)/2)
+	bottoms := events[:0]
 	for _, e := range events {
-		if e.Top {
-			continue // the bottom event carries the full geometry
+		if !e.Top { // the bottom event carries the full geometry
+			bottoms = append(bottoms, e)
 		}
-		rects = append(rects, e.R)
+	}
+	extsort.StableSort(bottoms, lessEventY)
+	rects := make([]rec.WRect, len(bottoms))
+	for i, e := range bottoms {
+		rects[i] = e.R
 	}
 	slab := geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
 	return s.writeSlab(sweep.Slab(rects, slab))
@@ -389,8 +394,7 @@ func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *ex
 func (s *task) slabFileOf(events, edges *em.File, count int64) (*em.File, error) {
 	defer events.Release()
 	defer edges.Release()
-	sortedEvents, err := extsort.SortP(s.env, events, rec.PieceEventCodec{},
-		func(a, b rec.PieceEvent) bool { return a.Y() < b.Y() }, s.par)
+	sortedEvents, err := extsort.SortP(s.env, events, rec.PieceEventCodec{}, lessEventY, s.par)
 	if err != nil {
 		return nil, err
 	}
@@ -398,8 +402,7 @@ func (s *task) slabFileOf(events, edges *em.File, count int64) (*em.File, error)
 		_ = sortedEvents.Release()
 		return nil, err
 	}
-	sortedEdges, err := extsort.SortP(s.env, edges, rec.Float64Codec{},
-		func(a, b float64) bool { return a < b }, s.par)
+	sortedEdges, err := extsort.SortP(s.env, edges, rec.Float64Codec{}, lessFloat64, s.par)
 	if err != nil {
 		_ = sortedEvents.Release()
 		return nil, err

@@ -246,12 +246,13 @@ type FaultAt struct {
 // (Disk.InjectFaults). Faults come from two sources that compose:
 //
 //   - At: exact per-transfer schedules (FaultAt), reproducible bit-for-bit.
-//   - Seed-driven rates: each transfer not claimed by At draws once from a
-//     rand.Rand seeded with Seed; the cumulative rate bands decide the
-//     fault. For a fixed serial transfer sequence the outcome is a pure
-//     function of Seed; under concurrency the interleaving shuffles which
-//     transfer draws which number, but the fault *rate* and the total
-//     fault count distribution are reproducible.
+//   - Seed-driven rates: each transfer not claimed by At makes one draw,
+//     a hash of (Seed, direction, block, the block's attempt ordinal in
+//     that direction); the cumulative rate bands decide the fault. A
+//     block's successive attempts — a retry included — therefore draw the
+//     same numbers however other goroutines' transfers interleave with
+//     them, and for a fixed serial transfer sequence the outcome is a
+//     pure function of Seed.
 //
 // A zero plan injects nothing, and an installed injector that injects
 // nothing leaves the counted transfer schedule bit-identical to an
@@ -303,21 +304,21 @@ type FaultStats struct {
 }
 
 // faultBackend wraps a backend and injects faults per a FaultPlan. The
-// scheduling state (transfer counters, rng, bad-block set) is mutex-
-// guarded; the wrapped transfer itself runs outside the lock, so injection
-// adds no serialization to concurrent clean transfers beyond the counter
-// bump.
+// scheduling state (transfer counters, attempt ordinals, bad-block set)
+// is mutex-guarded; the wrapped transfer itself runs outside the lock, so
+// injection adds no serialization to concurrent clean transfers beyond
+// the counter bump.
 type faultBackend struct {
 	inner backend
 	plan  FaultPlan
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	reads   uint64
-	writes  uint64
-	readAt  map[uint64]FaultKind
-	writeAt map[uint64]FaultKind
-	bad     map[BlockID]struct{}
+	mu       sync.Mutex
+	attempts map[blockOp]uint64 // rate draws so far per block and direction; nil when every rate is 0
+	reads    uint64
+	writes   uint64
+	readAt   map[uint64]FaultKind
+	writeAt  map[uint64]FaultKind
+	bad      map[BlockID]struct{}
 
 	injTransient uint64
 	injPermanent uint64
@@ -336,7 +337,7 @@ func newFaultBackend(inner backend, plan FaultPlan) *faultBackend {
 	}
 	if plan.TransientReadRate > 0 || plan.TransientWriteRate > 0 ||
 		plan.CorruptReadRate > 0 || plan.LatencyRate > 0 {
-		fb.rng = rand.New(rand.NewSource(plan.Seed))
+		fb.attempts = make(map[blockOp]uint64)
 	}
 	for _, at := range plan.At {
 		if at.Op == OpRead {
@@ -372,7 +373,7 @@ func (fb *faultBackend) decide(op FaultOp, id BlockID) (kind FaultKind, bad bool
 	}
 	k, ok := exact[n]
 	if !ok {
-		k = fb.draw(op)
+		k = fb.draw(op, id)
 	}
 	switch k {
 	case FaultTransient:
@@ -390,14 +391,24 @@ func (fb *faultBackend) decide(op FaultOp, id BlockID) (kind FaultKind, bad bool
 	return k, false
 }
 
-// draw makes the rate-driven decision for one transfer: a single uniform
-// draw, subdivided into cumulative bands so each transfer consumes exactly
-// one random number (keeping serial schedules a pure function of the seed).
-func (fb *faultBackend) draw(op FaultOp) FaultKind {
-	if fb.rng == nil {
+// blockOp keys the per-block attempt ordinals of the rate draws.
+type blockOp struct {
+	id BlockID
+	op FaultOp
+}
+
+// draw makes the rate-driven decision for one transfer attempt on block
+// id: a single uniform number, subdivided into cumulative bands. The
+// number is a hash of (seed, op, id, attempt ordinal), not the next value
+// of a shared stream, so no other transfer can take a draw meant for this
+// block's retry.
+func (fb *faultBackend) draw(op FaultOp, id BlockID) FaultKind {
+	if fb.attempts == nil {
 		return noFault
 	}
-	r := fb.rng.Float64()
+	key := blockOp{id, op}
+	fb.attempts[key]++
+	r := unitHash(uint64(fb.plan.Seed), uint64(op), uint64(id), fb.attempts[key])
 	transient := fb.plan.TransientWriteRate
 	corrupt := 0.0
 	if op == OpRead {
@@ -413,6 +424,19 @@ func (fb *faultBackend) draw(op FaultOp) FaultKind {
 		return FaultLatency
 	}
 	return noFault
+}
+
+// unitHash folds its words through the splitmix64 finalizer and maps the
+// result to a uniform float64 in [0, 1).
+func unitHash(words ...uint64) float64 {
+	var h uint64
+	for _, w := range words {
+		h += w + 0x9e3779b97f4a7c15
+		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	return float64(h>>11) / (1 << 53)
 }
 
 // corruptByte is XORed into the first byte of a corrupted or torn block —

@@ -400,3 +400,59 @@ func TestFaultInjectionFileBacked(t *testing.T) {
 		t.Fatalf("close through injector: %v", err)
 	}
 }
+
+// TestRateDrawsFollowTheBlock checks that a block's rate-driven fault
+// sequence does not depend on how transfers to other blocks interleave
+// with it: each attempt's draw is keyed by the block and its own attempt
+// ordinal, so a retry can never take a draw another transfer was due.
+func TestRateDrawsFollowTheBlock(t *testing.T) {
+	const reads = 200
+	run := func(interleave bool) map[BlockID][]bool {
+		d := MustNewDisk(64)
+		ids := []BlockID{d.Alloc(), d.Alloc(), d.Alloc()}
+		for _, id := range ids {
+			if err := d.WriteBlock(id, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.InjectFaults(FaultPlan{Seed: 5, TransientReadRate: 0.3})
+		faulted := make(map[BlockID][]bool)
+		buf := make([]byte, 64)
+		read := func(id BlockID) {
+			err := d.ReadBlock(id, buf)
+			if err != nil && !IsTransient(err) {
+				t.Fatalf("block %d: %v", id, err)
+			}
+			faulted[id] = append(faulted[id], err != nil)
+		}
+		if interleave {
+			for i := 0; i < reads; i++ {
+				for _, id := range ids {
+					read(id)
+				}
+			}
+		} else {
+			for _, id := range ids {
+				for i := 0; i < reads; i++ {
+					read(id)
+				}
+			}
+		}
+		return faulted
+	}
+	a, b := run(false), run(true)
+	fired := 0
+	for id, seq := range a {
+		for i, f := range seq {
+			if f != b[id][i] {
+				t.Fatalf("block %d attempt %d: faulted=%v in block order, %v interleaved", id, i+1, f, b[id][i])
+			}
+			if f {
+				fired++
+			}
+		}
+	}
+	if fired == 0 {
+		t.Fatal("30% transient rate fired no faults")
+	}
+}

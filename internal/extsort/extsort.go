@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 
 	"maxrs/internal/conc"
@@ -75,7 +74,7 @@ func sortAndSpill[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, 
 	if err := env.Err(); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
+	StableSort(buf, less)
 	return em.WriteAllEnv(env, codec, buf)
 }
 

@@ -17,7 +17,7 @@ package sweep
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"maxrs/internal/geom"
 	"maxrs/internal/rec"
@@ -54,38 +54,25 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 		return nil
 	}
 	xs = dedupSorted(xs)
-	cellOf := func(x float64) int { return sort.SearchFloat64s(xs, x) }
 	nCells := len(xs) - 1
 
-	// Events: tops (removals) before bottoms (additions) at equal y, so a
-	// rectangle half-open in y never coexists with one starting at its top.
-	type event struct {
-		y   float64
-		top bool
-		c   clipped
-	}
+	// Each rectangle's cell range is resolved once, for both its events.
 	evs := make([]event, 0, 2*len(cs))
 	for _, c := range cs {
-		evs = append(evs, event{c.y1, false, c}, event{c.y2, true, c})
+		l, _ := slices.BinarySearch(xs, c.x1)
+		r, _ := slices.BinarySearch(xs, c.x2)
+		evs = append(evs,
+			event{y: c.y1, w: c.w, l: l, r: r},
+			event{y: c.y2, w: -c.w, l: l, r: r, top: true})
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].y != evs[j].y {
-			return evs[i].y < evs[j].y
-		}
-		return evs[i].top && !evs[j].top
-	})
+	slices.SortFunc(evs, cmpEvent)
 
 	tree := newSegTree(nCells)
 	tuples := make([]rec.Tuple, 0, 2*len(cs))
 	for i := 0; i < len(evs); {
 		y := evs[i].y
 		for ; i < len(evs) && evs[i].y == y; i++ {
-			e := evs[i]
-			d := e.c.w
-			if e.top {
-				d = -d
-			}
-			tree.Update(cellOf(e.c.x1), cellOf(e.c.x2), d)
+			tree.Update(evs[i].l, evs[i].r, evs[i].w)
 		}
 		l, r := tree.MaxRun()
 		tuples = append(tuples, rec.Tuple{Y: y, X1: xs[l], X2: xs[r], Sum: tree.Max()})
@@ -93,15 +80,39 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 	return tuples
 }
 
-func dedupSorted(xs []float64) []float64 {
-	sort.Float64s(xs)
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
+// event is one horizontal edge of a clipped rectangle: the sweep adds w
+// to cells [l, r) at y (w is negated for a top edge).
+type event struct {
+	y    float64
+	w    float64
+	l, r int
+	top  bool
+}
+
+// cmpEvent orders events by y, tops (removals) before bottoms (additions)
+// at equal y, so a rectangle half-open in y never coexists with one
+// starting at its top. Events equal under it keep the order pdqsort
+// leaves them in; slices.SortFunc runs the same pdqsort as sort.Slice, so
+// the arrangement — and with it the order of every float addition — is
+// the one a sort.Slice with the matching less function produces.
+func cmpEvent(a, b event) int {
+	switch {
+	case a.y != b.y:
+		if a.y < b.y {
+			return -1
 		}
+		return 1
+	case a.top && !b.top:
+		return -1
+	case !a.top && b.top:
+		return 1
 	}
-	return out
+	return 0
+}
+
+func dedupSorted(xs []float64) []float64 {
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }
 
 // Result is a solved MaxRS instance: Region is a rectangle of optimal
@@ -112,8 +123,31 @@ type Result struct {
 	Sum    float64
 }
 
-// Best reports an optimal center location.
-func (r Result) Best() geom.Point { return r.Region.Center() }
+// Best reports an optimal center location: a finite point of Region. On
+// each axis it is the midpoint of a finite interval; for a half-infinite
+// interval it steps one unit in from the finite bound, and for an
+// unbounded axis it is 0. (An optimal region is unbounded when the
+// optimum covers nothing, as MinRS over positive weights does.)
+func (r Result) Best() geom.Point {
+	return geom.Point{X: finiteIn(r.Region.X), Y: finiteIn(r.Region.Y)}
+}
+
+// finiteIn returns a finite point of the non-empty half-open interval iv.
+func finiteIn(iv geom.Interval) float64 {
+	loInf, hiInf := math.IsInf(iv.Lo, -1), math.IsInf(iv.Hi, 1)
+	switch {
+	case loInf && hiInf:
+		return 0
+	case hiInf:
+		return iv.Lo + 1 // Lo itself is inside when Lo+1 rounds to it
+	case loInf:
+		if x := iv.Hi - 1; x < iv.Hi {
+			return x
+		}
+		return math.Nextafter(iv.Hi, math.Inf(-1))
+	}
+	return iv.Mid()
+}
 
 // BestRegion scans a slab file (tuples in ascending y) and returns the
 // max-region: the strip of the tuple with the largest sum, extended to the

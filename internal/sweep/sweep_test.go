@@ -353,3 +353,24 @@ func TestBestRegionEmpty(t *testing.T) {
 		t.Fatalf("empty BestRegion should be the whole plane, got %v", res.Region)
 	}
 }
+
+func TestBestIsFiniteInsideRegion(t *testing.T) {
+	inf := math.Inf(1)
+	for _, iv := range []geom.Interval{
+		{Lo: -2, Hi: 4},
+		{Lo: -inf, Hi: 0},
+		{Lo: 3, Hi: inf},
+		{Lo: -inf, Hi: inf},
+		{Lo: -inf, Hi: 1e300},
+		{Lo: 1e300, Hi: inf},
+	} {
+		r := Result{Region: geom.Rect{X: iv, Y: geom.Interval{Lo: 0, Hi: 1}}}
+		p := r.Best()
+		if math.IsInf(p.X, 0) || math.IsNaN(p.X) || !r.Region.Contains(p) {
+			t.Errorf("Best() of %+v = %+v, want a finite point inside", iv, p)
+		}
+	}
+	if got := (Result{Region: geom.Rect{X: geom.Interval{Lo: -2, Hi: 4}, Y: geom.Interval{Lo: 0, Hi: 1}}}).Best(); got != (geom.Point{X: 1, Y: 0.5}) {
+		t.Errorf("Best() of a bounded region = %+v, want its center", got)
+	}
+}

@@ -225,6 +225,35 @@ func TestMinRS(t *testing.T) {
 	}
 }
 
+// TestMinRSFiniteAnswer: over positive weights the minimum covers
+// nothing and its optimal region is unbounded, yet the answer is a finite
+// location inside that region with a +0 score.
+func TestMinRSFiniteAnswer(t *testing.T) {
+	e, err := NewEngine(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := []Object{{X: 0, Y: 0, Weight: 1}, {X: 1, Y: 1, Weight: 2}, {X: 2, Y: 0, Weight: 3}}
+	d, err := e.Load(context.Background(), objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.MinRS(context.Background(), d, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Location
+	if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+		t.Fatalf("MinRS location %+v is not finite (region %+v)", p, res.Region)
+	}
+	if !res.Region.Contains(p) {
+		t.Fatalf("MinRS location %+v outside its region %+v", p, res.Region)
+	}
+	if res.Score != 0 || math.Signbit(res.Score) {
+		t.Fatalf("MinRS score = %g (sign bit %v), want +0", res.Score, math.Signbit(res.Score))
+	}
+}
+
 func TestCountRS(t *testing.T) {
 	e, err := NewEngine(nil)
 	if err != nil {
