@@ -58,6 +58,7 @@ import (
 	"maxrs/internal/em"
 	"maxrs/internal/extsort"
 	"maxrs/internal/geom"
+	"maxrs/internal/radix"
 	"maxrs/internal/rec"
 	"maxrs/internal/sweep"
 )
@@ -256,10 +257,16 @@ func (s *Solver) SolveRectsScoped(ctx context.Context, rectFile *em.File, sc *em
 	return t.run(rr.Read)
 }
 
-// lessEventY orders piece events by sweep y — the root event sort order.
-func lessEventY(a, b rec.PieceEvent) bool { return a.Y() < b.Y() }
+// keyEventY is the root event sort key, sweep y, and lessEventY its order.
+// Runs are formed by the key (radix) and merged by the order; both sorts
+// are stable, so the runs are the ones the comparator would form.
+func keyEventY(e rec.PieceEvent) float64 { return e.Y() }
 
-// lessFloat64 is the root edge-value sort order.
+func lessEventY(a, b rec.PieceEvent) bool { return keyEventY(a) < keyEventY(b) }
+
+// keyFloat64 and lessFloat64 are the root edge-value sort key and order.
+func keyFloat64(v float64) float64 { return v }
+
 func lessFloat64(a, b float64) bool { return a < b }
 
 // run drains next() and solves the transformed problem on the configured
@@ -307,11 +314,11 @@ func (s *task) solveTransformed(events, edges *em.File, count int64) (sweep.Resu
 // files, so results are bit-identical to Config.Unfused at every
 // Parallelism.
 func (s *task) solveFused(next func() (rec.WRect, error)) (_ sweep.Result, err error) {
-	evb, err := extsort.NewRunBuilder(s.env, rec.PieceEventCodec{}, lessEventY, s.par)
+	evb, err := extsort.NewKeyedRunBuilder(s.env, rec.PieceEventCodec{}, keyEventY, s.par)
 	if err != nil {
 		return sweep.Result{}, err
 	}
-	edb, err := extsort.NewRunBuilder(s.env, rec.Float64Codec{}, lessFloat64, s.par)
+	edb, err := extsort.NewKeyedRunBuilder(s.env, rec.Float64Codec{}, keyFloat64, s.par)
 	if err != nil {
 		evb.Discard()
 		return sweep.Result{}, err
@@ -365,8 +372,8 @@ func (s *task) solveFused(next func() (rec.WRect, error)) (_ sweep.Result, err e
 // or sorted file ever touching the disk. The sweep reads only the bottom
 // events, and a stable sort filtered to the bottoms is the stable sort of
 // the bottoms, so the bottoms are kept first and sorted alone — n records
-// instead of 2n — with the comparator of the run the unfused path would
-// spill. The sweep receives the same rectangle sequence either way.
+// instead of 2n — by the key of the run the unfused path would spill. The
+// sweep receives the same rectangle sequence either way.
 func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *extsort.RunBuilder[float64]) (*em.File, error) {
 	events, err := evb.Take()
 	if err != nil {
@@ -379,7 +386,7 @@ func (s *task) baseCaseResident(evb *extsort.RunBuilder[rec.PieceEvent], edb *ex
 			bottoms = append(bottoms, e)
 		}
 	}
-	extsort.StableSort(bottoms, lessEventY)
+	radix.SortByKey(bottoms, keyEventY)
 	rects := make([]rec.WRect, len(bottoms))
 	for i, e := range bottoms {
 		rects[i] = e.R

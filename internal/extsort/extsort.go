@@ -30,6 +30,7 @@ import (
 
 	"maxrs/internal/conc"
 	"maxrs/internal/em"
+	"maxrs/internal/radix"
 )
 
 // Sort sorts the records of in according to less and returns a new sorted
@@ -66,16 +67,27 @@ func fanInOf(env em.Env) int {
 	return fanIn
 }
 
-// sortAndSpill sorts one run buffer and writes it out as a run file. The
-// cancellation check runs before the in-memory sort — the one long
-// CPU-only stretch of run formation — and the spill writes themselves
-// abort at block granularity through the env-carried context.
-func sortAndSpill[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, buf []T) (*em.File, error) {
+// sortAndSpill sorts one run buffer with sortRun and writes it out as a
+// run file. The cancellation check runs before the in-memory sort — the
+// one long CPU-only stretch of run formation — and the spill writes
+// themselves abort at block granularity through the env-carried context.
+func sortAndSpill[T any](env em.Env, codec em.Codec[T], sortRun func([]T), buf []T) (*em.File, error) {
 	if err := env.Err(); err != nil {
 		return nil, err
 	}
-	StableSort(buf, less)
+	sortRun(buf)
 	return em.WriteAllEnv(env, codec, buf)
+}
+
+// byLess is the comparator run sort; byKey is the radix run sort for an
+// order by one float64 key. Both are stable, so for less(a, b) =
+// key(a) < key(b) they leave a buffer in the same arrangement.
+func byLess[T any](less func(a, b T) bool) func([]T) {
+	return func(buf []T) { StableSort(buf, less) }
+}
+
+func byKey[T any](key func(T) float64) func([]T) {
+	return func(buf []T) { radix.SortByKey(buf, key) }
 }
 
 // spiller owns the sort-and-spill worker pool shared by formRuns and
@@ -85,7 +97,7 @@ func sortAndSpill[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, 
 type spiller[T any] struct {
 	env     em.Env
 	codec   em.Codec[T]
-	less    func(a, b T) bool
+	sortRun func([]T)
 	workers int
 
 	jobs    chan spillJob[T]
@@ -102,8 +114,8 @@ type spillJob[T any] struct {
 	buf []T
 }
 
-func newSpiller[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, parallelism int) *spiller[T] {
-	return &spiller[T]{env: env, codec: codec, less: less, workers: parallelism}
+func newSpiller[T any](env em.Env, codec em.Codec[T], sortRun func([]T), parallelism int) *spiller[T] {
+	return &spiller[T]{env: env, codec: codec, sortRun: sortRun, workers: parallelism}
 }
 
 func (sp *spiller[T]) place(idx int, f *em.File, err error) {
@@ -129,7 +141,7 @@ func (sp *spiller[T]) place(idx int, f *em.File, err error) {
 // filling): the PEM budget of DESIGN.md §6.
 func (sp *spiller[T]) dispatch(idx int, buf []T) error {
 	if sp.workers <= 1 {
-		f, err := sortAndSpill(sp.env, sp.codec, sp.less, buf)
+		f, err := sortAndSpill(sp.env, sp.codec, sp.sortRun, buf)
 		sp.place(idx, f, err)
 		return err
 	}
@@ -141,7 +153,7 @@ func (sp *spiller[T]) dispatch(idx int, buf []T) error {
 			go func() {
 				defer sp.wg.Done()
 				for j := range sp.jobs {
-					f, err := sortAndSpill(sp.env, sp.codec, sp.less, j.buf)
+					f, err := sortAndSpill(sp.env, sp.codec, sp.sortRun, j.buf)
 					sp.place(j.idx, f, err)
 				}
 			}()
@@ -198,10 +210,22 @@ type RunBuilder[T any] struct {
 	done   bool
 }
 
-// NewRunBuilder validates the environment and returns an empty builder.
-// parallelism bounds the sort/spill worker goroutines exactly as in SortP
-// (≤ 0 selects GOMAXPROCS); run boundaries never depend on it.
+// NewRunBuilder validates the environment and returns an empty builder
+// whose runs are sorted by less. parallelism bounds the sort/spill worker
+// goroutines exactly as in SortP (≤ 0 selects GOMAXPROCS); run boundaries
+// never depend on it.
 func NewRunBuilder[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool, parallelism int) (*RunBuilder[T], error) {
+	return newRunBuilder(env, codec, byLess(less), parallelism)
+}
+
+// NewKeyedRunBuilder is NewRunBuilder for the order key(a) < key(b): its
+// runs are sorted by radix.SortByKey and are byte-identical to the runs of
+// NewRunBuilder with that less. Merge them with that less.
+func NewKeyedRunBuilder[T any](env em.Env, codec em.Codec[T], key func(T) float64, parallelism int) (*RunBuilder[T], error) {
+	return newRunBuilder(env, codec, byKey(key), parallelism)
+}
+
+func newRunBuilder[T any](env em.Env, codec em.Codec[T], sortRun func([]T), parallelism int) (*RunBuilder[T], error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
@@ -217,7 +241,7 @@ func NewRunBuilder[T any](env em.Env, codec em.Codec[T], less func(a, b T) bool,
 		codec:  codec,
 		perRun: perRun,
 		buf:    make([]T, 0, perRun),
-		sp:     newSpiller(env, codec, less, parallelism),
+		sp:     newSpiller(env, codec, sortRun, parallelism),
 	}, nil
 }
 

@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"maxrs/internal/geom"
+	"maxrs/internal/radix"
 	"maxrs/internal/rec"
 )
 
@@ -34,48 +35,56 @@ func Slab(rects []rec.WRect, slabX geom.Interval) []rec.Tuple {
 	if slabX.Empty() {
 		return nil
 	}
-	// Collect clipped rectangles and their vertical edges.
-	type clipped struct {
-		x1, x2, y1, y2, w float64
-	}
-	cs := make([]clipped, 0, len(rects))
+	// Each kept rectangle i contributes events 2i (bottom) and 2i+1 (top)
+	// and the vertical edges xs[2+2i] (x1) and xs[3+2i] (x2), clipped.
 	xs := make([]float64, 0, 2*len(rects)+2)
 	xs = append(xs, slabX.Lo, slabX.Hi)
+	evs := make([]event, 0, 2*len(rects))
 	for _, r := range rects {
 		x1 := math.Max(r.X1, slabX.Lo)
 		x2 := math.Min(r.X2, slabX.Hi)
 		if x1 >= x2 || r.Y1 >= r.Y2 {
 			continue
 		}
-		cs = append(cs, clipped{x1, x2, r.Y1, r.Y2, r.W})
+		evs = append(evs,
+			event{y: r.Y1, w: r.W},
+			event{y: r.Y2, w: -r.W, top: true})
 		xs = append(xs, x1, x2)
 	}
-	if len(cs) == 0 {
+	if len(evs) == 0 {
 		return nil
 	}
-	xs = dedupSorted(xs)
-	nCells := len(xs) - 1
-
-	// Each rectangle's cell range is resolved once, for both its events.
-	evs := make([]event, 0, 2*len(cs))
-	for _, c := range cs {
-		l, _ := slices.BinarySearch(xs, c.x1)
-		r, _ := slices.BinarySearch(xs, c.x2)
-		evs = append(evs,
-			event{y: c.y1, w: c.w, l: l, r: r},
-			event{y: c.y2, w: -c.w, l: l, r: r, top: true})
-	}
+	// The cell boundaries are the distinct edges in ascending order, and an
+	// edge's cell index is its rank among them: one stable sort of the
+	// edges yields both, keeping the first edge in input order of each
+	// class of equal values.
+	bounds := make([]float64, 0, len(xs))
+	radix.Ascending(xs, func(p int) {
+		if len(bounds) == 0 || xs[p] != bounds[len(bounds)-1] {
+			bounds = append(bounds, xs[p])
+		}
+		if p < 2 {
+			return
+		}
+		c, e := len(bounds)-1, evs[(p-2)&^1:]
+		if p%2 == 0 {
+			e[0].l, e[1].l = c, c
+		} else {
+			e[0].r, e[1].r = c, c
+		}
+	})
+	nCells := len(bounds) - 1
 	slices.SortFunc(evs, cmpEvent)
 
 	tree := newSegTree(nCells)
-	tuples := make([]rec.Tuple, 0, 2*len(cs))
+	tuples := make([]rec.Tuple, 0, len(evs))
 	for i := 0; i < len(evs); {
 		y := evs[i].y
 		for ; i < len(evs) && evs[i].y == y; i++ {
 			tree.Update(evs[i].l, evs[i].r, evs[i].w)
 		}
 		l, r := tree.MaxRun()
-		tuples = append(tuples, rec.Tuple{Y: y, X1: xs[l], X2: xs[r], Sum: tree.Max()})
+		tuples = append(tuples, rec.Tuple{Y: y, X1: bounds[l], X2: bounds[r], Sum: tree.Max()})
 	}
 	return tuples
 }
@@ -108,11 +117,6 @@ func cmpEvent(a, b event) int {
 		return 1
 	}
 	return 0
-}
-
-func dedupSorted(xs []float64) []float64 {
-	slices.Sort(xs)
-	return slices.Compact(xs)
 }
 
 // Result is a solved MaxRS instance: Region is a rectangle of optimal

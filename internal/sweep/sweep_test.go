@@ -181,6 +181,31 @@ func TestSlabEmptyInputs(t *testing.T) {
 	}
 }
 
+// TestSlabSignedZeroEdge: −0 and +0 are one cell boundary, and the
+// boundary Slab reports is the first of them in input order (x1, then x2,
+// rectangle by rectangle).
+func TestSlabSignedZeroEdge(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, first := range []float64{negZero, 0} {
+		second := -first
+		rects := []rec.WRect{
+			{X1: first, X2: 1, Y1: 0, Y2: 1, W: 1},
+			{X1: second, X2: 2, Y1: 0, Y2: 1, W: 1},
+		}
+		tuples := Slab(rects, fullSlab())
+		if len(tuples) != 2 {
+			t.Fatalf("%d tuples, want 2", len(tuples))
+		}
+		tp := tuples[0]
+		if tp.Sum != 2 || tp.X1 != 0 || tp.X2 != 1 {
+			t.Fatalf("tuple %+v, want sum 2 over [0,1)", tp)
+		}
+		if math.Signbit(tp.X1) != math.Signbit(first) {
+			t.Errorf("boundary %g reported, want the first in input order, %g", tp.X1, first)
+		}
+	}
+}
+
 func TestHalfOpenStacking(t *testing.T) {
 	// Two rectangles sharing the edge y=2: under half-open semantics the
 	// top of the lower one must be processed before the bottom of the upper
