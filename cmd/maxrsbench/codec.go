@@ -157,8 +157,8 @@ func runCodec(cfg codecBenchConfig) ([]experiments.Series, error) {
 		}
 	}
 	// 3: the delta codec moves strictly fewer physical bytes than the
-	// uncompressed fixed layout (io × B — exactly what file/none derives),
-	// and actually compressed blocks to get there.
+	// uncompressed fixed layout (io × B), and actually compressed blocks
+	// to get there.
 	byName := func(name string) measured {
 		for vi, v := range codecBenchVariants {
 			if v.name == name {

@@ -14,12 +14,11 @@ import (
 
 // fusionConfig parameterizes the -exp=fusion mode: a head-to-head of the
 // fused root pipeline (DESIGN.md §8) against the materializing one, on the
-// in-memory and the file-backed disk, with and without stream pipelining.
-// The run doubles as a regression gate: it asserts bit-identical results
-// across all six variants, the golden transfer-saving floor of the
-// fusion, and count-invariance of prefetch/write-behind — then reports
-// io/op, ns/op and pipeline coverage so `-json=BENCH_3.json` leaves a
-// machine-readable perf-trajectory record.
+// in-memory and the file-backed disk. The run doubles as a regression
+// gate: it asserts bit-identical results across all four variants, the
+// golden transfer-saving floor of the fusion, and backend-invariance of
+// the counts — then reports io/op and ns/op so `-json=BENCH_3.json`
+// leaves a machine-readable perf-trajectory record.
 type fusionConfig struct {
 	objects int
 	iters   int // timing iterations per variant (best-of)
@@ -34,7 +33,6 @@ type fusionVariant struct {
 	name       string
 	fileBacked bool
 	unfused    bool
-	pipeline   bool
 }
 
 var fusionVariants = []fusionVariant{
@@ -42,8 +40,6 @@ var fusionVariants = []fusionVariant{
 	{name: "mem/fused"},
 	{name: "disk/unfused/sync", fileBacked: true, unfused: true},
 	{name: "disk/fused/sync", fileBacked: true},
-	{name: "disk/fused/pipelined", fileBacked: true, pipeline: true},
-	{name: "disk/unfused/pipelined", fileBacked: true, unfused: true, pipeline: true},
 }
 
 // runFusion measures every variant and returns the three metric series.
@@ -56,15 +52,13 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 
 	fmt.Fprintf(cfg.out, "fusion: %d uniform objects, M=%dKB, B=%d, query %gx%g, %d iterations, parallelism %d\n",
 		cfg.objects, cfg.memory/1024, experiments.DefaultBlockSize, queryEdge, queryEdge, cfg.iters, cfg.par)
-	fmt.Fprintf(cfg.out, "%-24s %12s %12s %12s %12s\n", "variant", "io/op", "best ns/op", "pre-reads", "wb-writes")
+	fmt.Fprintf(cfg.out, "%-24s %12s %12s\n", "variant", "io/op", "best ns/op")
 
 	type measured struct {
-		io       uint64
-		ns       int64
-		preReads float64 // prefetched reads / total reads
-		wbWrites float64 // write-behind writes / total writes
-		region   [4]float64
-		sum      float64
+		io     uint64
+		ns     int64
+		region [4]float64
+		sum    float64
 	}
 	results := make([]measured, len(fusionVariants))
 
@@ -87,7 +81,6 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 					return nil, err
 				}
 			}
-			d.SetPipelining(v.pipeline)
 			env := em.Env{Disk: d, M: cfg.memory}
 			f, err := workload.Write(d, objs)
 			if err != nil {
@@ -108,7 +101,6 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 				return nil, fmt.Errorf("fusion: %s: %w", v.name, err)
 			}
 			stats := d.Stats()
-			pr, pw := d.PipelineStats()
 			if err := d.Close(); err != nil {
 				return nil, err
 			}
@@ -116,18 +108,11 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 			if ns := elapsed.Nanoseconds(); ns < m.ns {
 				m.ns = ns
 			}
-			if stats.Reads > 0 {
-				m.preReads = float64(pr) / float64(stats.Reads)
-			}
-			if stats.Writes > 0 {
-				m.wbWrites = float64(pw) / float64(stats.Writes)
-			}
 			m.region = [4]float64{res.Region.X.Lo, res.Region.X.Hi, res.Region.Y.Lo, res.Region.Y.Hi}
 			m.sum = res.Sum
 		}
 		results[vi] = m
-		fmt.Fprintf(cfg.out, "%-24s %12d %12d %11.1f%% %11.1f%%\n",
-			v.name, m.io, m.ns, 100*m.preReads, 100*m.wbWrites)
+		fmt.Fprintf(cfg.out, "%-24s %12d %12d\n", v.name, m.io, m.ns)
 	}
 
 	// Invariants (DESIGN.md §8). 1: every variant returns the same answer.
@@ -145,13 +130,10 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 		}
 		panic("unknown variant " + name)
 	}
-	// 2: io/op depends only on fused/unfused — never on the backend or on
-	// pipelining.
+	// 2: io/op depends only on fused/unfused — never on the backend.
 	for _, pair := range [][2]string{
 		{"mem/fused", "disk/fused/sync"},
-		{"disk/fused/sync", "disk/fused/pipelined"},
 		{"mem/unfused", "disk/unfused/sync"},
-		{"disk/unfused/sync", "disk/unfused/pipelined"},
 	} {
 		if a, b := byName(pair[0]), byName(pair[1]); a.io != b.io {
 			return nil, fmt.Errorf("fusion: io/op %d (%s) != %d (%s)", a.io, pair[0], b.io, pair[1])
@@ -170,7 +152,7 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 		return nil, fmt.Errorf("fusion: saving %d transfers < asserted floor %d (fused %d, unfused %d)",
 			unfusedIO-fusedIO, minSaving, fusedIO, unfusedIO)
 	}
-	fmt.Fprintf(cfg.out, "results identical, io/op backend- and pipeline-invariant, fusion saves %d ≥ %d transfers ✓\n",
+	fmt.Fprintf(cfg.out, "results identical, io/op backend-invariant, fusion saves %d ≥ %d transfers ✓\n",
 		unfusedIO-fusedIO, minSaving)
 
 	names := make([]string, len(fusionVariants))
@@ -193,7 +175,5 @@ func runFusion(cfg fusionConfig) ([]experiments.Series, error) {
 	return []experiments.Series{
 		mkSeries("fusion: I/O per query (block transfers)", func(m measured) float64 { return float64(m.io) }),
 		mkSeries("fusion: best wall-clock per query (ns)", func(m measured) float64 { return float64(m.ns) }),
-		mkSeries("fusion: prefetch coverage (reads via read-ahead)", func(m measured) float64 { return m.preReads }),
-		mkSeries("fusion: write-behind coverage (writes via background)", func(m measured) float64 { return m.wbWrites }),
 	}, nil
 }

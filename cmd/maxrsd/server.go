@@ -200,21 +200,9 @@ func (s *server) openDataPath(path string) (*os.File, error) {
 	return os.OpenInRoot(s.dataDir, path)
 }
 
-// deprecated wraps a handler registered under a pre-/v1/ path: it serves
-// identically but stamps a Deprecation header so clients can find and
-// migrate their callers before the aliases go away.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		h(w, r)
-	}
-}
-
 func (s *server) handler() http.Handler {
-	// The canonical API lives under /v1/; every route is also served at
-	// its pre-versioning path for one release, marked with a Deprecation
-	// header (the cluster-internal paths in internal/dist name the /v1/
-	// forms directly).
+	// The API lives under /v1/ only (the cluster-internal paths in
+	// internal/dist name the /v1/ forms directly).
 	routes := []struct {
 		method, path string
 		h            http.HandlerFunc
@@ -239,9 +227,7 @@ func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range routes {
 		mux.HandleFunc(rt.method+" /v1"+rt.path, rt.h)
-		mux.HandleFunc(rt.method+" "+rt.path, deprecated(rt.h))
 	}
-	mux.HandleFunc("GET /healthz", deprecated(s.handleLivez)) // historical alias
 	return mux
 }
 
@@ -364,21 +350,12 @@ type statsResponse struct {
 	WorkersReady int `json:"workers_ready,omitempty"`
 	// NetCalls counts worker calls made by distributed queries.
 	NetCalls uint64 `json:"net_calls,omitempty"`
-	// Pipeline counts the transfers that rode the background prefetch /
-	// write-behind path — a subset of reads/writes, never extra.
-	Pipeline pipelineStatsJSON `json:"pipeline"`
 	// Faults holds the engine's fault-handling counters: retries and
 	// checksum verification failures on block transfers.
 	Faults faultStatsJSON `json:"faults"`
 	// Storage describes the physical layer below the transfer counters:
 	// the backend and codec in use plus the physical bytes moved.
 	Storage storageStatsJSON `json:"storage"`
-}
-
-// pipelineStatsJSON is the prefetch/write-behind coverage block.
-type pipelineStatsJSON struct {
-	Reads  uint64 `json:"reads"`
-	Writes uint64 `json:"writes"`
 }
 
 // faultStatsJSON is the fault/retry counter block of /stats.
@@ -445,7 +422,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		NetCalls:  s.eng.NetFaultStats().Calls,
 		Storage:   s.storageStats(),
 	}
-	out.Pipeline.Reads, out.Pipeline.Writes = s.eng.PipelineStats()
 	fs := s.eng.FaultStats()
 	out.Faults = faultStatsJSON{
 		ReadRetries:      fs.ReadRetries,

@@ -11,8 +11,8 @@ import (
 )
 
 // TestStatsExposesStorageAndFaults pins the /v1/stats surface added with
-// the storage subsystem: the pipeline, fault/retry, and physical-storage
-// counter blocks, on an engine running the delta codec.
+// the storage subsystem: the fault/retry and physical-storage counter
+// blocks, on an engine running the delta codec.
 func TestStatsExposesStorageAndFaults(t *testing.T) {
 	eng, err := maxrs.NewEngine(&maxrs.Options{
 		BlockSize: 512, Memory: 8192,

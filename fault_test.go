@@ -189,7 +189,7 @@ func TestTransientFaultRecovery(t *testing.T) {
 
 // TestChecksumRetryInvariance extends the count-invariance contract to
 // the hardened configuration: checksums on, retries armed, a fault
-// injector installed (firing nothing), pipelining forced — results and
+// injector installed (firing nothing) — results and
 // per-query transfer counts must stay bit-identical to a plain engine at
 // every parallelism level, sharded and not.
 func TestChecksumRetryInvariance(t *testing.T) {
@@ -205,7 +205,6 @@ func TestChecksumRetryInvariance(t *testing.T) {
 				if hardened {
 					opts.Checksums = true
 					opts.Retry = RetryPolicy{MaxRetries: 3, BaseDelay: time.Microsecond}
-					opts.Pipeline = PipelineOn
 				}
 				e, err := NewEngine(opts)
 				if err != nil {

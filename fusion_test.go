@@ -57,46 +57,3 @@ func TestEngineFusionEquivalence(t *testing.T) {
 		t.Fatalf("fused query cost %d ≥ unfused %d transfers", fused.Stats.Total(), unfused.Stats.Total())
 	}
 }
-
-// TestEnginePipelineInvariance pins the public contract of
-// Options.Pipeline: on an OnDisk engine, prefetch/write-behind (the Auto
-// default) changes neither the result nor a single counted transfer
-// relative to PipelineOff — and PipelineOn works on the in-memory backend
-// too.
-func TestEnginePipelineInvariance(t *testing.T) {
-	objs := fusionObjects(3000)
-	queryEdge := 4.0 * 3000 / 1000
-	run := func(opts Options) Result {
-		e, err := NewEngine(&opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		d, err := e.Load(context.Background(), objs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.MaxRS(context.Background(), d, queryEdge, queryEdge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(Options{Memory: 52 * 1024, OnDisk: true, OnDiskDir: t.TempDir(), Pipeline: PipelineOff})
-	for name, opts := range map[string]Options{
-		"disk/auto":   {Memory: 52 * 1024, OnDisk: true, Pipeline: PipelineAuto},
-		"disk/forced": {Memory: 52 * 1024, OnDisk: true, Pipeline: PipelineOn},
-		"mem/forced":  {Memory: 52 * 1024, Pipeline: PipelineOn},
-		"mem/auto":    {Memory: 52 * 1024},
-	} {
-		opts.OnDiskDir = t.TempDir()
-		got := run(opts)
-		if !sameResult(got, base) {
-			t.Errorf("%s: result %+v (stats %+v) != PipelineOff baseline %+v (stats %+v)",
-				name, got, got.Stats, base, base.Stats)
-		}
-	}
-	if _, err := NewEngine(&Options{Pipeline: PipelineMode(42)}); err == nil {
-		t.Fatal("bogus pipeline mode must be rejected")
-	}
-}

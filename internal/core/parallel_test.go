@@ -107,9 +107,8 @@ func TestParallelismValidation(t *testing.T) {
 	}
 }
 
-// TestParallelOnFileBackedDisk runs the parallel solver against the OS-file
-// backend, exercising the pooled scratch path of fileBackend.write under
-// concurrency.
+// TestParallelOnFileBackedDisk runs the parallel solver against the
+// OS-file store, exercising its pooled slot buffers under concurrency.
 func TestParallelOnFileBackedDisk(t *testing.T) {
 	d, err := em.NewFileBackedDisk(t.TempDir(), 256)
 	if err != nil {

@@ -1,16 +1,9 @@
 package em
 
-import (
-	"errors"
-	"fmt"
-	"os"
-	"sync"
-)
-
 // backend is the physical storage under a Disk. The default is in-process
 // memory (fast, hermetic — the transfer counters are the measurement, per
-// §7.1); a file backend stores blocks in a real OS file so the simulator
-// can also run genuinely out of core.
+// §7.1); the slot store (store.go) keeps blocks in a real OS file so the
+// simulator can also run genuinely out of core.
 //
 // Concurrency contract: grow is only called with the Disk's write lock
 // held; read and write are called with its read lock held and so may run
@@ -75,78 +68,4 @@ func (m *memBackend) free(id BlockID) {
 func (m *memBackend) Close() error {
 	m.blocks = nil
 	return nil
-}
-
-// fileBackend stores blocks at offset id·blockSize in an OS file. Partial
-// writes pad to a whole block through a pooled per-call scratch buffer: a
-// single shared buffer would be corrupted by two in-flight writers (each
-// copies its payload in before the WriteAt), even when the writers target
-// different blocks.
-type fileBackend struct {
-	blockSize int
-	f         *os.File
-	scratch   sync.Pool // of []byte, blockSize each
-}
-
-func newFileBackend(f *os.File, blockSize int) *fileBackend {
-	fb := &fileBackend{blockSize: blockSize, f: f}
-	fb.scratch.New = func() any { return make([]byte, blockSize) }
-	return fb
-}
-
-func (fb *fileBackend) grow(id BlockID) error {
-	// Zero the (possibly reused) block region.
-	return fb.write(id, nil)
-}
-
-func (fb *fileBackend) read(id BlockID, dst []byte) error {
-	_, err := fb.f.ReadAt(dst[:fb.blockSize], int64(id)*int64(fb.blockSize))
-	return err
-}
-
-func (fb *fileBackend) write(id BlockID, src []byte) error {
-	off := int64(id) * int64(fb.blockSize)
-	if len(src) == fb.blockSize {
-		// Full-block writes need no padding; src is owned by the caller for
-		// the duration of the call, so it can go straight to the file.
-		_, err := fb.f.WriteAt(src, off)
-		return err
-	}
-	buf := fb.scratch.Get().([]byte)
-	copy(buf, src)
-	clear(buf[len(src):])
-	_, err := fb.f.WriteAt(buf, off)
-	fb.scratch.Put(buf)
-	return err
-}
-
-// Close closes and removes the backing file. The remove runs even when
-// the close fails — leaking a temp file because close errored would turn
-// one fault into two — and both errors surface, joined.
-func (fb *fileBackend) Close() error {
-	name := fb.f.Name()
-	return errors.Join(fb.f.Close(), os.Remove(name))
-}
-
-// NewFileBackedDisk returns a Disk whose blocks live in a temporary file
-// under dir ("" = the OS temp directory). The transfer counters behave
-// identically to the in-memory disk; only the storage medium differs.
-// Stream pipelining (prefetch + write-behind, DESIGN.md §8) is enabled by
-// default so sequential scans overlap real disk latency with CPU; disable
-// with SetPipelining(false) — counts are identical either way. Call Close
-// when done to remove the backing file.
-func NewFileBackedDisk(dir string, blockSize int) (*Disk, error) {
-	if blockSize <= 0 {
-		return nil, ErrBlockSize
-	}
-	f, err := os.CreateTemp(dir, "maxrs-disk-*.dat")
-	if err != nil {
-		return nil, fmt.Errorf("em: backing file: %w", err)
-	}
-	d := &Disk{
-		blockSize: blockSize,
-		backend:   newFileBackend(f, blockSize),
-	}
-	d.pipelined.Store(true)
-	return d, nil
 }

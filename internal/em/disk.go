@@ -91,30 +91,21 @@ type Disk struct {
 	blockSize int
 	backend   backend
 
-	// mu guards live, gen and freeList. ReadBlock/WriteBlock take it in
-	// read mode only to validate ids against the (append-only) live table.
+	// mu guards live, freeList and growErrs. ReadBlock/WriteBlock take it
+	// in read mode only to validate ids against the (append-only) live
+	// table.
 	mu       sync.RWMutex
 	live     []bool
 	freeList []BlockID
-	// gen counts how many times each block has been freed. A write-behind
-	// goroutine presents the generation captured at allocation; if its
-	// block was freed (an abandoned pipelined writer on an error path) —
-	// and possibly handed to a new owner — in the meantime, the stale
-	// write is rejected instead of corrupting the new owner's data. Reads
-	// need no guard: a stale prefetch lands in a private buffer that is
-	// never consumed.
-	gen       []uint32
+	// growErrs holds the backend grow failure of each live block whose
+	// storage could not be provided (a full disk, a failed remap). Alloc
+	// cannot fail, so the error surfaces on the block's next transfer;
+	// Free clears it. Almost always empty.
+	growErrs  map[BlockID]error
 	liveCount atomic.Int64 // O(1) InUse, maintained by Alloc/Free
 
 	reads  atomic.Uint64
 	writes atomic.Uint64
-
-	// pipelined enables stream prefetch / write-behind (DESIGN.md §8);
-	// pipeReads/pipeWrites count the transfers that rode the background
-	// path (a subset of reads/writes — never extra transfers).
-	pipelined  atomic.Bool
-	pipeReads  atomic.Uint64
-	pipeWrites atomic.Uint64
 
 	// retry is the policy for transient faults and checksum mismatches
 	// (DESIGN.md §11); nil means never retry. Retries count in the fault
@@ -128,7 +119,7 @@ type Disk struct {
 
 	// checksums enables per-block CRC32C verification: every successful
 	// write records the checksum of the block's full (padded) content in
-	// sums, every read verifies it. sums is guarded like live/gen and
+	// sums, every read verifies it. sums is guarded like live and
 	// grown by Alloc; entry 0 means "no checksum recorded" (a block
 	// written while verification was off is not verified).
 	checksums     atomic.Bool
@@ -174,32 +165,9 @@ func (d *Disk) Stats() Stats {
 func (d *Disk) ResetStats() {
 	d.reads.Store(0)
 	d.writes.Store(0)
-	d.pipeReads.Store(0)
-	d.pipeWrites.Store(0)
 	if sb := d.storeOf(); sb != nil {
 		sb.resetPhys()
 	}
-}
-
-// SetPipelining enables or disables prefetch / write-behind on streams
-// created afterwards (DESIGN.md §8): Readers double-buffer read-ahead and
-// Writers write behind, each via one short-lived background goroutine per
-// block, overlapping backend latency with CPU. Transfer counts are
-// identical either way — pipelining changes wall-clock only — at the cost
-// of one extra block of memory per open stream. Default: off for
-// in-memory disks (their "transfers" are memcpys with nothing to overlap),
-// on for file-backed disks.
-func (d *Disk) SetPipelining(on bool) { d.pipelined.Store(on) }
-
-// Pipelined reports whether streams created now would use prefetch /
-// write-behind.
-func (d *Disk) Pipelined() bool { return d.pipelined.Load() }
-
-// PipelineStats returns how many read and write transfers were performed
-// by the background prefetch / write-behind path since the last
-// ResetStats. Divide by Stats() for the pipeline coverage ratio.
-func (d *Disk) PipelineStats() (reads, writes uint64) {
-	return d.pipeReads.Load(), d.pipeWrites.Load()
 }
 
 // Close releases backend resources (removes the backing file of a
@@ -207,7 +175,7 @@ func (d *Disk) PipelineStats() (reads, writes uint64) {
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	d.live = nil
-	d.gen = nil
+	d.growErrs = nil
 	d.sums = nil
 	d.freeList = nil
 	d.liveCount.Store(0)
@@ -216,7 +184,11 @@ func (d *Disk) Close() error {
 }
 
 // Alloc reserves a zeroed block and returns its id. Allocation itself is
-// free; the transfer is charged when the block is read or written.
+// free; the transfer is charged when the block is read or written. If the
+// backend cannot provide the block's storage (a full disk), Alloc still
+// returns the id and the error surfaces on the block's first transfer —
+// an alloc-with-error API would complicate every caller for a case the
+// in-memory backend cannot hit. Freeing the block clears the error.
 func (d *Disk) Alloc() BlockID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -228,14 +200,13 @@ func (d *Disk) Alloc() BlockID {
 	} else {
 		id = BlockID(len(d.live))
 		d.live = append(d.live, false)
-		d.gen = append(d.gen, 0)
 		d.sums = append(d.sums, 0)
 	}
 	if err := d.backend.grow(id); err != nil {
-		// Growth failures (disk full) surface on the next access; a full
-		// alloc-with-error API would complicate every caller for a case
-		// the in-memory backend cannot hit.
-		panic(fmt.Sprintf("em: backend grow: %v", err))
+		if d.growErrs == nil {
+			d.growErrs = make(map[BlockID]error)
+		}
+		d.growErrs[id] = fmt.Errorf("em: block %d: backend grow: %w", id, err)
 	}
 	d.live[id] = true
 	d.liveCount.Add(1)
@@ -250,7 +221,7 @@ func (d *Disk) Free(id BlockID) error {
 		return err
 	}
 	d.live[id] = false
-	d.gen[id]++
+	delete(d.growErrs, id)
 	d.liveCount.Add(-1)
 	d.freeList = append(d.freeList, id)
 	if m, ok := d.backend.(blockFreer); ok {
@@ -271,17 +242,23 @@ func (d *Disk) ReadBlock(id BlockID, dst []byte) error {
 // is cancelled, the retry loop aborts with the context error instead of
 // sleeping out its backoff. A nil ctx never cancels.
 func (d *Disk) readBlockCtx(ctx context.Context, id BlockID, dst []byte) error {
+	return d.withRetry(ctx, &d.readRetries, func() error { return d.readBlockOnce(id, dst) })
+}
+
+// withRetry runs attempt under the disk's retry policy: transient faults
+// and checksum mismatches are retried with the policy's backoff, each
+// retry counted in retries; any other error, or the last allowed
+// attempt's, is returned as is. The backoff sleep is bound to ctx (nil
+// never cancels). It is the one retry loop of every block transfer.
+func (d *Disk) withRetry(ctx context.Context, retries *atomic.Uint64, attempt func() error) error {
 	p := d.retryPolicy()
 	bo := p.Backoff(d.jitter.Load())
-	for attempt := 0; ; attempt++ {
-		err := d.readBlockOnce(id, dst)
-		if err == nil {
-			return nil
-		}
-		if attempt >= p.MaxRetries || !retryable(err) {
+	for n := 0; ; n++ {
+		err := attempt()
+		if err == nil || n >= p.MaxRetries || !retryable(err) {
 			return err
 		}
-		d.readRetries.Add(1)
+		retries.Add(1)
 		if serr := sleepCtx(ctx, bo.Next()); serr != nil {
 			return serr
 		}
@@ -297,7 +274,7 @@ func (d *Disk) readBlockCtx(ctx context.Context, id BlockID, dst []byte) error {
 func (d *Disk) readBlockOnce(id BlockID, dst []byte) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if err := d.checkLocked(id); err != nil {
+	if err := d.transferableLocked(id); err != nil {
 		return err
 	}
 	if len(dst) < d.blockSize {
@@ -329,21 +306,7 @@ func (d *Disk) WriteBlock(id BlockID, src []byte) error {
 // writeBlockCtx is WriteBlock with the retry backoff bound to ctx (see
 // readBlockCtx).
 func (d *Disk) writeBlockCtx(ctx context.Context, id BlockID, src []byte) error {
-	p := d.retryPolicy()
-	bo := p.Backoff(d.jitter.Load())
-	for attempt := 0; ; attempt++ {
-		err := d.writeBlockOnce(id, src)
-		if err == nil {
-			return nil
-		}
-		if attempt >= p.MaxRetries || !retryable(err) {
-			return err
-		}
-		d.writeRetries.Add(1)
-		if serr := sleepCtx(ctx, bo.Next()); serr != nil {
-			return serr
-		}
-	}
+	return d.withRetry(ctx, &d.writeRetries, func() error { return d.writeBlockOnce(id, src) })
 }
 
 // writeBlockOnce performs one write attempt, recording the block's
@@ -353,7 +316,7 @@ func (d *Disk) writeBlockCtx(ctx context.Context, id BlockID, src []byte) error 
 func (d *Disk) writeBlockOnce(id BlockID, src []byte) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if err := d.checkLocked(id); err != nil {
+	if err := d.transferableLocked(id); err != nil {
 		return err
 	}
 	if len(src) > d.blockSize {
@@ -437,65 +400,18 @@ func (d *Disk) FaultStats() FaultStats {
 	return fs
 }
 
-// allocGen is Alloc plus the block's current free generation — the token
-// a background write-behind must present to writeBlockGen.
-func (d *Disk) allocGen() (BlockID, uint32) {
-	id := d.Alloc()
-	d.mu.RLock()
-	g := d.gen[id]
-	d.mu.RUnlock()
-	return id, g
-}
-
-// writeBlockGen is WriteBlock gated on the free generation captured at
-// allocation: a stale background write — its block freed, and possibly
-// reallocated to a new owner, after the write was launched — is rejected
-// under the same read lock that excludes Free, so it can never land on
-// another file's data. Retries follow the disk's policy, with the
-// generation revalidated on every attempt.
-func (d *Disk) writeBlockGen(ctx context.Context, id BlockID, g uint32, src []byte) error {
-	p := d.retryPolicy()
-	bo := p.Backoff(d.jitter.Load())
-	for attempt := 0; ; attempt++ {
-		err := d.writeBlockGenOnce(id, g, src)
-		if err == nil {
-			return nil
-		}
-		if attempt >= p.MaxRetries || !retryable(err) {
-			return err
-		}
-		d.writeRetries.Add(1)
-		if serr := sleepCtx(ctx, bo.Next()); serr != nil {
-			return serr
-		}
-	}
-}
-
-func (d *Disk) writeBlockGenOnce(id BlockID, g uint32, src []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkLocked(id); err != nil {
-		return err
-	}
-	if d.gen[id] != g {
-		return fmt.Errorf("%w: %d (stale background write)", ErrFreedBlock, id)
-	}
-	if len(src) > d.blockSize {
-		return fmt.Errorf("em: write of %d bytes exceeds block size %d", len(src), d.blockSize)
-	}
-	if err := d.backend.write(id, src); err != nil {
-		return err
-	}
-	if d.checksums.Load() {
-		d.sums[id] = sumRecorded | uint64(crcPadded(src, d.blockSize))
-	}
-	d.writes.Add(1)
-	return nil
-}
-
 // InUse returns the number of live (allocated, unfreed) blocks — useful for
 // leak checks in tests. O(1): maintained incrementally by Alloc/Free.
 func (d *Disk) InUse() int { return int(d.liveCount.Load()) }
+
+// transferableLocked is checkLocked plus the block's pending grow
+// failure, if any: the check every transfer attempt makes.
+func (d *Disk) transferableLocked(id BlockID) error {
+	if err := d.checkLocked(id); err != nil {
+		return err
+	}
+	return d.growErrs[id]
+}
 
 func (d *Disk) checkLocked(id BlockID) error {
 	if id < 0 || int(id) >= len(d.live) {

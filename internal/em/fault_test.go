@@ -302,7 +302,7 @@ func TestSeededRatesDeterministic(t *testing.T) {
 // TestNoFaultScheduleBitIdentical checks the central invariance contract:
 // an armed injector that fires nothing, plus checksums, plus a retry
 // policy, leaves the counted transfer schedule bit-identical to a plain
-// disk — including through pipelined streams.
+// disk.
 func TestNoFaultScheduleBitIdentical(t *testing.T) {
 	counts := func(harden bool) Stats {
 		d := MustNewDisk(64)
@@ -310,7 +310,6 @@ func TestNoFaultScheduleBitIdentical(t *testing.T) {
 			d.SetRetryPolicy(RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond})
 			d.SetChecksums(true)
 			d.InjectFaults(FaultPlan{}) // armed, fires nothing
-			d.SetPipelining(true)
 		}
 		env := Env{Disk: d, M: 4 * 64}
 		f := env.NewFile()

@@ -64,15 +64,6 @@ func (f *File) Release() error {
 // Writer appends bytes to a File through an in-memory block buffer. Every
 // filled block costs one write transfer; Close flushes the final partial
 // block.
-//
-// On a pipelined Disk (Disk.SetPipelining, DESIGN.md §8) the Writer runs
-// write-behind: a filled block is handed to a short-lived background
-// goroutine while the caller keeps filling a second buffer, overlapping
-// the backend's write latency with record encoding. The transfer schedule
-// — which blocks, how many, in what file order — is identical to the
-// synchronous path; only wall-clock changes. A background write error
-// surfaces on the next flush or at Close. The double buffer costs one
-// extra block of the writer's memory budget.
 type Writer struct {
 	file   *File
 	scope  *ScopeStats
@@ -80,17 +71,6 @@ type Writer struct {
 	buf    []byte
 	n      int // bytes buffered
 	closed bool
-	wb     *writeBehind
-}
-
-// writeBehind is the write-behind state: the spare buffer the caller fills
-// while the previous block is written in the background, and the in-flight
-// write's completion channel (buffered, so an abandoned writer can never
-// leak its goroutine).
-type writeBehind struct {
-	spare    []byte
-	ch       chan error
-	inflight bool
 }
 
 // NewWriter returns a Writer appending to f. f must be empty or previously
@@ -98,11 +78,7 @@ type writeBehind struct {
 // the caller must avoid (write-once discipline). Transfers are charged to
 // the file's scope (if any) on top of the disk-global counters.
 func (f *File) NewWriter() *Writer {
-	w := &Writer{file: f, scope: f.scope, ctx: f.ctx, buf: make([]byte, f.disk.blockSize)}
-	if f.disk.Pipelined() {
-		w.wb = &writeBehind{spare: make([]byte, f.disk.blockSize), ch: make(chan error, 1)}
-	}
-	return w
+	return &Writer{file: f, scope: f.scope, ctx: f.ctx, buf: make([]byte, f.disk.blockSize)}
 }
 
 // Write buffers p, flushing full blocks to disk. It never fails short.
@@ -130,87 +106,35 @@ func (w *Writer) flush() error {
 	}
 	// The cancellation check sits at block granularity: a full buffer is
 	// the unit of work, so a cancelled query stops before its next
-	// transfer. The in-flight write-behind block (if any) still drains —
-	// abandoning it mid-air is the leak the generation guard exists for,
-	// not a latency win.
+	// transfer.
 	if err := ctxErr(w.ctx); err != nil {
 		return err
 	}
-	if err := w.awaitWrite(); err != nil {
-		return err
+	id := w.file.disk.Alloc()
+	if err := w.file.disk.writeBlockCtx(w.ctx, id, w.buf[:w.n]); err != nil {
+		// The block is not yet part of the file — freeing it here is the
+		// only chance to reclaim it (Release won't see it).
+		return errors.Join(err, w.file.disk.Free(id))
 	}
-	if w.wb == nil {
-		id := w.file.disk.Alloc()
-		if err := w.file.disk.writeBlockCtx(w.ctx, id, w.buf[:w.n]); err != nil {
-			// The block is not yet part of the file — freeing it here is
-			// the only chance to reclaim it (Release won't see it).
-			return errors.Join(err, w.file.disk.Free(id))
-		}
-		w.scope.addWrite()
-		w.file.blocks = append(w.file.blocks, id)
-		w.file.size += int64(w.n)
-		w.n = 0
-		return nil
-	}
-	id, gen := w.file.disk.allocGen()
-	full := w.buf[:w.n]
-	w.buf, w.wb.spare = w.wb.spare, w.buf
-	w.wb.inflight = true
-	go writeBehindBlock(w.ctx, w.file, id, gen, full, w.scope, w.wb.ch)
+	w.scope.addWrite()
 	w.file.blocks = append(w.file.blocks, id)
 	w.file.size += int64(w.n)
 	w.n = 0
 	return nil
 }
 
-// awaitWrite drains the in-flight background write, if any.
-func (w *Writer) awaitWrite() error {
-	if w.wb == nil || !w.wb.inflight {
-		return nil
-	}
-	w.wb.inflight = false
-	return <-w.wb.ch
-}
-
-// writeBehindBlock is the one-shot write-behind goroutine body: it always
-// terminates after a single transfer and a buffered send, so a Writer
-// abandoned on an error path cannot leak it. The write is gated on the
-// block generation captured at allocation (writeBlockGen), so if the
-// abandoned writer's file was already released — and the block handed to
-// a new owner — the stale write is rejected instead of corrupting it.
-func writeBehindBlock(ctx context.Context, f *File, id BlockID, gen uint32, src []byte, sc *ScopeStats, ch chan<- error) {
-	err := f.disk.writeBlockGen(ctx, id, gen, src)
-	if err == nil {
-		sc.addWrite()
-		f.disk.pipeWrites.Add(1)
-	}
-	ch <- err
-}
-
-// Close flushes the final partial block and drains any in-flight
-// background write. Further writes fail with ErrClosed.
+// Close flushes the final partial block. Further writes fail with
+// ErrClosed.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
-	if err := w.flush(); err != nil {
-		return err
-	}
-	return w.awaitWrite()
+	return w.flush()
 }
 
 // Reader streams a File sequentially through an in-memory block buffer.
 // Every block fetched costs one read transfer.
-//
-// On a pipelined Disk (Disk.SetPipelining, DESIGN.md §8) the Reader runs
-// double-buffered read-ahead: while the caller consumes block k, a
-// short-lived background goroutine fetches block k+1 into a spare buffer,
-// overlapping the backend's read latency with record decoding. Read-ahead
-// never fetches past the file's last block, and a fully consumed stream
-// performs exactly the transfers of the synchronous path; only wall-clock
-// changes. The double buffer costs one extra block of the reader's memory
-// budget.
 type Reader struct {
 	file  *File
 	scope *ScopeStats
@@ -219,27 +143,12 @@ type Reader struct {
 	next  int // next block index to fetch
 	avail []byte
 	off   int64 // bytes consumed so far
-	pre   *prefetcher
-}
-
-// prefetcher is the read-ahead state: the spare buffer the background
-// fetch fills and the in-flight fetch's completion channel (buffered, so
-// an abandoned reader can never leak its goroutine).
-type prefetcher struct {
-	spare    []byte
-	ch       chan error
-	idx      int // block index the in-flight fetch targets
-	inflight bool
 }
 
 // NewReader returns a Reader positioned at the start of f, charging
 // transfers to the file's scope (if any).
 func (f *File) NewReader() *Reader {
-	r := &Reader{file: f, scope: f.scope, ctx: f.ctx, buf: make([]byte, f.disk.blockSize)}
-	if f.disk.Pipelined() {
-		r.pre = &prefetcher{spare: make([]byte, f.disk.blockSize), ch: make(chan error, 1)}
-	}
-	return r
+	return &Reader{file: f, scope: f.scope, ctx: f.ctx, buf: make([]byte, f.disk.blockSize)}
 }
 
 // NewReaderScoped is NewReader with the transfer attribution overridden to
@@ -276,26 +185,14 @@ func (r *Reader) fill() error {
 	if r.next >= len(r.file.blocks) {
 		return io.EOF
 	}
-	// Block-granularity cancellation: stop before fetching (or consuming a
-	// prefetch of) the next block. An in-flight prefetch goroutine is
-	// one-shot with a buffered channel, so abandoning it here cannot leak
-	// it; its block lands in a private buffer that is never consumed.
+	// Block-granularity cancellation: stop before fetching the next block.
 	if err := ctxErr(r.ctx); err != nil {
 		return err
 	}
-	if r.pre != nil && r.pre.inflight && r.pre.idx == r.next {
-		err := <-r.pre.ch
-		r.pre.inflight = false
-		if err != nil {
-			return err
-		}
-		r.buf, r.pre.spare = r.pre.spare, r.buf
-	} else {
-		if err := r.file.disk.readBlockCtx(r.ctx, r.file.blocks[r.next], r.buf); err != nil {
-			return err
-		}
-		r.scope.addRead()
+	if err := r.file.disk.readBlockCtx(r.ctx, r.file.blocks[r.next], r.buf); err != nil {
+		return err
 	}
+	r.scope.addRead()
 	// The final block may be partial.
 	n := int64(r.file.disk.blockSize)
 	if rem := r.file.size - int64(r.next)*n; rem < n {
@@ -304,24 +201,7 @@ func (r *Reader) fill() error {
 		r.avail = r.buf[:n]
 	}
 	r.next++
-	if r.pre != nil && r.next < len(r.file.blocks) {
-		r.pre.idx = r.next
-		r.pre.inflight = true
-		go prefetchBlock(r.ctx, r.file, r.file.blocks[r.next], r.pre.spare, r.scope, r.pre.ch)
-	}
 	return nil
-}
-
-// prefetchBlock is the one-shot read-ahead goroutine body: it always
-// terminates after a single transfer and a buffered send, so a Reader
-// abandoned mid-stream cannot leak it.
-func prefetchBlock(ctx context.Context, f *File, id BlockID, dst []byte, sc *ScopeStats, ch chan<- error) {
-	err := f.disk.readBlockCtx(ctx, id, dst)
-	if err == nil {
-		sc.addRead()
-		f.disk.pipeReads.Add(1)
-	}
-	ch <- err
 }
 
 // Offset returns the number of bytes consumed so far.

@@ -19,9 +19,11 @@ import (
 // extent is issued once per flushEvery bytes, not per block.
 //
 // Lifecycle (DESIGN.md §15): the mapping grows geometrically; growing
-// remaps (munmap → ftruncate → mmap), which is safe against concurrent
-// readAt/writeAt because grow runs with the Disk's write lock held —
-// exclusively of every reader and writer — per the backend contract.
+// remaps (ftruncate → mmap the larger file → munmap the old mapping),
+// which is safe against concurrent readAt/writeAt because grow runs with
+// the Disk's write lock held — exclusively of every reader and writer —
+// per the backend contract. A failed grow leaves the old mapping in
+// place, so the store stays usable for the blocks it already holds.
 // Close drops the mapping and removes the file; the store is scratch
 // space, so durability is never required and MS_SYNC is never issued.
 type mmapSlots struct {
@@ -62,7 +64,9 @@ func newMmapSlots(dir string) (*mmapSlots, error) {
 
 // remap grows the file and mapping to at least size bytes. Caller must
 // hold the store exclusively (the Disk write lock, per the grow
-// contract) — remapping moves s.data.
+// contract) — remapping moves s.data. The new mapping is made before
+// the old one is released: if the truncate or the mmap fails, s.data
+// still maps the old (smaller) file prefix and nothing is lost.
 func (s *mmapSlots) remap(size int64) error {
 	newCap := int64(len(s.data))
 	if newCap == 0 {
@@ -72,12 +76,6 @@ func (s *mmapSlots) remap(size int64) error {
 		newCap *= 2
 	}
 	newCap = (newCap + pageSize - 1) / pageSize * pageSize
-	if s.data != nil {
-		if err := syscall.Munmap(s.data); err != nil {
-			return fmt.Errorf("em: munmap: %w", err)
-		}
-		s.data = nil
-	}
 	if err := s.f.Truncate(newCap); err != nil {
 		return fmt.Errorf("em: mmap store truncate: %w", err)
 	}
@@ -86,7 +84,13 @@ func (s *mmapSlots) remap(size int64) error {
 	if err != nil {
 		return fmt.Errorf("em: mmap: %w", err)
 	}
+	old := s.data
 	s.data = m
+	if old != nil {
+		if err := syscall.Munmap(old); err != nil {
+			return fmt.Errorf("em: munmap: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -94,12 +98,15 @@ func (s *mmapSlots) grow(size int64) error {
 	if size <= int64(len(s.data)) {
 		return nil
 	}
-	// The mapping moves: reset dirty accounting to the new region
+	if err := s.remap(size); err != nil {
+		return err
+	}
+	// The mapping moved: reset dirty accounting to the new region
 	// wholesale rather than msync-ing a dead mapping later.
 	s.mu.Lock()
 	s.dirtyLo, s.dirtyHi, s.dirtyLen = 0, 0, 0
 	s.mu.Unlock()
-	return s.remap(size)
+	return nil
 }
 
 func (s *mmapSlots) readAt(dst []byte, off int64) error {

@@ -21,9 +21,10 @@ import (
 //
 // The store sits strictly below the Disk's transfer counters: one
 // logical ReadBlock/WriteBlock is one counted transfer whatever the
-// payload size, so the counted schedule is bit-identical to the plain
-// file backend by construction. What the store changes is the physical
-// bytes each transfer moves, tallied in PhysIO.
+// payload size, so the counted schedule is bit-identical to the
+// in-memory backend by construction. What the store changes is the
+// physical bytes each transfer moves, tallied in PhysIO. With no codec
+// family it is the fixed-layout file disk (NewFileBackedDisk).
 
 // slotHeaderSize is the fixed per-slot header:
 //
@@ -137,8 +138,8 @@ type storeBackend struct {
 
 	// sizes caches each block's slot payload length + 1; 0 means the
 	// block was never written since its last grow, so reads zero-fill
-	// without physical I/O (fixed-layout backends get the same
-	// observable semantics by zeroing storage in grow). Guarded by the
+	// without physical I/O (memBackend gets the same observable
+	// semantics by zeroing storage in grow). Guarded by the
 	// Disk's locks exactly like memBackend.blocks: grown under the write
 	// lock, element-wise accessed under the read lock with single-owner
 	// block semantics.
@@ -288,8 +289,8 @@ func getU32(b []byte) uint32 {
 // PhysIO counts the physical bytes moved below the transfer counters
 // (DESIGN.md §15). For a slot-store disk the counters are measured:
 // header + payload per transfer, with per-block compression outcomes.
-// For fixed-layout backends they are derived as transfers × block size
-// and Measured is false.
+// For the in-memory disk they are derived as transfers × block size and
+// Measured is false.
 type PhysIO struct {
 	ReadBytes        uint64 // physical bytes moved storage → memory
 	WriteBytes       uint64 // physical bytes moved memory → storage
@@ -305,7 +306,7 @@ func (p PhysIO) Bytes() uint64 { return p.ReadBytes + p.WriteBytes }
 // transfer counters — which store actually serves blocks (after any
 // mmap fallback) and whether a codec family is armed.
 type StorageInfo struct {
-	Backend string // "mem", "file", "store/file", "store/mmap", "store/mem"
+	Backend string // "mem", "store/file", "store/mmap", "store/mem"
 	Codec   string // "none" or "delta"
 }
 
@@ -316,11 +317,10 @@ type StorageInfo struct {
 // block in the fixed layout). dir is the directory for the backing file
 // ("" = the OS temp directory; ignored by StoreMem).
 //
-// Transfer counts are bit-identical to NewFileBackedDisk by
-// construction: the store sits below the counters, so codecs and the
-// mmap path change only the physical bytes per transfer (PhysIO), never
-// the counted schedule. Stream pipelining defaults on except for
-// StoreMem, matching the plain backends.
+// Transfer counts are bit-identical to NewDisk by construction: the
+// store sits below the counters, so the store kind and codecs change
+// only the physical bytes per transfer (PhysIO), never the counted
+// schedule.
 func NewStoreDisk(dir string, blockSize int, kind StoreKind, cands []codec.BlockCodec) (*Disk, error) {
 	if blockSize <= 0 {
 		return nil, ErrBlockSize
@@ -349,12 +349,19 @@ func NewStoreDisk(dir string, blockSize int, kind StoreKind, cands []codec.Block
 	if err != nil {
 		return nil, err
 	}
-	d := &Disk{
+	return &Disk{
 		blockSize: blockSize,
 		backend:   newStoreBackend(store, name, blockSize, cands),
-	}
-	d.pipelined.Store(kind != StoreMem)
-	return d, nil
+	}, nil
+}
+
+// NewFileBackedDisk returns a Disk whose blocks live in a temporary file
+// under dir ("" = the OS temp directory): the raw slot store,
+// NewStoreDisk(dir, blockSize, StoreFile, nil). The transfer counters
+// behave identically to the in-memory disk; only the storage medium
+// differs. Call Close when done to remove the backing file.
+func NewFileBackedDisk(dir string, blockSize int) (*Disk, error) {
+	return NewStoreDisk(dir, blockSize, StoreFile, nil)
 }
 
 // storeOf unwraps the disk's backend chain (fault injector included) to
@@ -373,7 +380,7 @@ func (d *Disk) storeOf() *storeBackend {
 // PhysIO returns the physical-byte counters accumulated since the last
 // ResetStats. Slot-store disks measure them exactly (fault injection
 // composes: injected faults sit above the store, so the counters still
-// reflect real store traffic); fixed-layout disks derive them as
+// reflect real store traffic); the in-memory disk derives them as
 // transfers × block size with Measured false.
 func (d *Disk) PhysIO() PhysIO {
 	if sb := d.storeOf(); sb != nil {
@@ -389,15 +396,6 @@ func (d *Disk) PhysIO() PhysIO {
 func (d *Disk) StorageInfo() StorageInfo {
 	sb := d.storeOf()
 	if sb == nil {
-		d.mu.RLock()
-		b := d.backend
-		d.mu.RUnlock()
-		if fb, ok := b.(*faultBackend); ok {
-			b = fb.inner
-		}
-		if _, ok := b.(*fileBackend); ok {
-			return StorageInfo{Backend: "file", Codec: "none"}
-		}
 		return StorageInfo{Backend: "mem", Codec: "none"}
 	}
 	info := StorageInfo{Backend: "store/" + sb.name, Codec: "none"}

@@ -98,8 +98,8 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 }
 
 // TestStoreDiskTransferInvariance runs one scripted workload on the
-// plain file backend and every store variant: the counted transfers
-// must be bit-identical — the store sits below the counters.
+// in-memory disk and every store variant: the counted transfers must be
+// bit-identical — the store sits below the counters.
 func TestStoreDiskTransferInvariance(t *testing.T) {
 	script := func(t *testing.T, d *Disk) Stats {
 		t.Helper()
@@ -131,12 +131,7 @@ func TestStoreDiskTransferInvariance(t *testing.T) {
 		return d.Stats()
 	}
 
-	ref, err := NewFileBackedDisk(t.TempDir(), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want := script(t, ref)
+	want := script(t, MustNewDisk(128))
 
 	for _, sk := range storeKinds {
 		for _, cands := range [][]codec.BlockCodec{nil, codec.DeltaFamily()} {
@@ -309,7 +304,7 @@ func TestStoreMediaCorruptionCaught(t *testing.T) {
 }
 
 // TestMmapStoreGrowRemap forces several geometric remaps and checks
-// every block survives them — the munmap/truncate/mmap cycle under the
+// every block survives them — the truncate/mmap/munmap cycle under the
 // exclusive grow lock.
 func TestMmapStoreGrowRemap(t *testing.T) {
 	const blockSize = 512
@@ -337,9 +332,67 @@ func TestMmapStoreGrowRemap(t *testing.T) {
 	}
 }
 
-// TestStoreDiskStreams runs the em stream layer (Writer write-behind,
-// Reader prefetch) over a store disk and checks content and counted
-// transfers match the plain file-backed disk.
+// errDiskFull is the grow failure of failGrowSlots.
+var errDiskFull = errors.New("disk full")
+
+// failGrowSlots is an in-memory slot store that cannot grow past limit
+// bytes: a full disk.
+type failGrowSlots struct {
+	memSlots
+	limit int64
+}
+
+func (s *failGrowSlots) grow(size int64) error {
+	if size > s.limit {
+		return errDiskFull
+	}
+	return s.memSlots.grow(size)
+}
+
+// TestStoreGrowFailureSurfaces pins the grow-failure contract: a store
+// that cannot grow fails the stream writing into it with an error
+// wrapping the cause — no panic — the failed block is returned to the
+// disk, and the store keeps serving once it can grow again.
+func TestStoreGrowFailureSurfaces(t *testing.T) {
+	const blockSize = 64
+	store := &failGrowSlots{limit: 3 * (slotHeaderSize + blockSize)}
+	d := &Disk{blockSize: blockSize, backend: newStoreBackend(store, "mem", blockSize, nil)}
+	defer d.Close()
+	f := NewFile(d)
+	w := f.NewWriter()
+	if _, err := w.Write(make([]byte, 5*blockSize)); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Write on a full store = %v, want an error wrapping %v", err, errDiskFull)
+	}
+	if err := w.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close on a full store = %v, want an error wrapping %v", err, errDiskFull)
+	}
+	if got := f.Blocks(); got != 3 {
+		t.Fatalf("file holds %d blocks, want the 3 that fit", got)
+	}
+	if err := f.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.InUse(); n != 0 {
+		t.Fatalf("InUse = %d after release, want 0", n)
+	}
+	store.limit = math.MaxInt64
+	payload := sortedBlock(3, 5*blockSize)
+	g, err := WriteAll(d, byteCodec{}, payload)
+	if err != nil {
+		t.Fatalf("write after the store can grow again: %v", err)
+	}
+	got, err := ReadAll(g, byteCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("round trip mismatch after a failed grow")
+	}
+}
+
+// TestStoreDiskStreams runs the em stream layer (Writer, Reader) over a
+// store disk and checks content and counted transfers match the
+// in-memory disk.
 func TestStoreDiskStreams(t *testing.T) {
 	payload := sortedBlock(10, 10000)
 
@@ -364,11 +417,7 @@ func TestStoreDiskStreams(t *testing.T) {
 		return d.Stats()
 	}
 
-	ref, err := NewFileBackedDisk(t.TempDir(), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := run(t, ref)
+	want := run(t, MustNewDisk(256))
 	for _, sk := range storeKinds {
 		d, err := NewStoreDisk(t.TempDir(), 256, sk.kind, codec.DeltaFamily())
 		if err != nil {
@@ -391,11 +440,17 @@ func TestStorageInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fd.Close()
-	if got := fd.StorageInfo(); got != (StorageInfo{Backend: "file", Codec: "none"}) {
+	if got := fd.StorageInfo(); got != (StorageInfo{Backend: "store/file", Codec: "none"}) {
 		t.Fatalf("file disk info = %+v", got)
 	}
-	if p := fd.PhysIO(); p.Measured {
-		t.Fatal("plain file disk claims measured physical bytes")
+	if p := mem.PhysIO(); p.Measured {
+		t.Fatal("in-memory disk claims measured physical bytes")
+	}
+	if err := fd.WriteBlock(fd.Alloc(), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if p := fd.PhysIO(); !p.Measured || p.WriteBytes != slotHeaderSize+1 {
+		t.Fatalf("file disk physical bytes = %+v, want measured %d", p, slotHeaderSize+1)
 	}
 	sd, err := NewStoreDisk(t.TempDir(), 64, StoreFile, codec.DeltaFamily())
 	if err != nil {

@@ -322,11 +322,14 @@ func TestOnDiskEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cross-check against the default in-memory-backed engine.
+	// Cross-check against the default in-memory-backed engine: the file
+	// store sits below the transfer counters, so the result and the
+	// per-query counts are bit-identical.
 	e2, err := NewEngine(&Options{BlockSize: 512, Memory: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e2.Close()
 	d2, err := e2.Load(context.Background(), objs)
 	if err != nil {
 		t.Fatal(err)
@@ -335,8 +338,11 @@ func TestOnDiskEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Score != want.Score {
-		t.Fatalf("on-disk engine score %g, in-memory %g", got.Score, want.Score)
+	if !sameResult(got, want) {
+		t.Fatalf("on-disk engine result %+v (stats %+v), in-memory %+v (stats %+v)", got, got.Stats, want, want.Stats)
+	}
+	if info := e.StorageInfo(); info != (StorageInfo{Backend: "store/file", Codec: "none"}) {
+		t.Fatalf("default OnDisk storage = %+v, want the raw file store", info)
 	}
 }
 

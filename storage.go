@@ -95,22 +95,19 @@ func (o *Options) newDisk() (*em.Disk, error) {
 		// store, so codec behavior is testable without touching disk.
 		return em.NewStoreDisk("", o.BlockSize, em.StoreMem, cands)
 	}
-	switch {
-	case o.Backend == BackendMmap:
-		return em.NewStoreDisk(o.OnDiskDir, o.BlockSize, em.StoreMmap, cands)
-	case cands != nil:
-		return em.NewStoreDisk(o.OnDiskDir, o.BlockSize, em.StoreFile, cands)
-	default:
-		// The default OnDisk path is byte-for-byte the pre-codec engine.
-		return em.NewFileBackedDisk(o.OnDiskDir, o.BlockSize)
+	kind := em.StoreFile
+	if o.Backend == BackendMmap {
+		kind = em.StoreMmap
 	}
+	return em.NewStoreDisk(o.OnDiskDir, o.BlockSize, kind, cands)
 }
 
 // PhysIO counts the physical bytes moved below the counted block
-// transfers (DESIGN.md §15). With a codec or the mmap backend armed the
-// counters are measured exactly — slot header + payload per transfer,
-// with per-block compression outcomes; on the default backends they are
-// derived as transfers × block size and Measured is false.
+// transfers (DESIGN.md §15). Every OnDisk engine (and an in-memory one
+// with a codec) runs on the slot store, which measures them exactly —
+// slot header + payload per transfer, with per-block compression
+// outcomes; the plain in-memory engine derives them as transfers × block
+// size and Measured is false.
 type PhysIO struct {
 	// ReadBytes and WriteBytes are physical bytes moved storage→memory
 	// and memory→storage since the last ResetStats.
@@ -129,7 +126,7 @@ func (p PhysIO) Bytes() uint64 { return p.ReadBytes + p.WriteBytes }
 // actually serving blocks (after any mmap fallback) and the armed codec
 // family.
 type StorageInfo struct {
-	Backend string // "mem", "file", "store/file", "store/mmap", "store/mem"
+	Backend string // "mem", "store/file", "store/mmap", "store/mem"
 	Codec   string // "none" or "delta"
 }
 
@@ -155,10 +152,9 @@ func (e *Engine) StorageInfo() StorageInfo {
 	return StorageInfo{Backend: info.Backend, Codec: info.Codec}
 }
 
-// PipelineStats returns how many of the primary disk's counted
-// transfers rode the background prefetch / write-behind path since the
-// last ResetStats — always a subset of Stats, never extra transfers
-// (DESIGN.md §8).
-func (e *Engine) PipelineStats() (reads, writes uint64) {
-	return e.env.Disk.PipelineStats()
-}
+// PipelineStats always returns (0, 0): streams are synchronous
+// (DESIGN.md §8.3), so no transfer rides a background path.
+//
+// Deprecated: there is nothing to report; the method remains only for
+// callers not yet migrated and will be removed.
+func (e *Engine) PipelineStats() (reads, writes uint64) { return 0, 0 }
