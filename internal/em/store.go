@@ -24,7 +24,8 @@ import (
 // payload size, so the counted schedule is bit-identical to the
 // in-memory backend by construction. What the store changes is the
 // physical bytes each transfer moves, tallied in PhysIO. With no codec
-// family it is the fixed-layout file disk (NewFileBackedDisk).
+// family every block is stored raw; over a temp file that is the disk
+// NewFileBackedDisk builds.
 
 // slotHeaderSize is the fixed per-slot header:
 //

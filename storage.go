@@ -14,9 +14,10 @@ import (
 type BackendKind int
 
 const (
-	// BackendAuto lets the engine pick: the portable file backend.
+	// BackendAuto lets the engine pick: the portable file store.
 	BackendAuto BackendKind = iota
-	// BackendFile forces the portable positioned-I/O temp-file backend.
+	// BackendFile forces the slot store in a portable positioned-I/O
+	// temp file.
 	BackendFile
 	// BackendMmap memory-maps the backing file: reads are page-cache
 	// memcpys with no per-block syscall, writes land in the mapping and
