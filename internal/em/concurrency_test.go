@@ -76,12 +76,81 @@ func TestInterleavedWritersDoNotCorruptBlocks(t *testing.T) {
 	}
 }
 
-// TestConcurrentWriters drives many goroutines, each repeatedly writing,
-// reading back and releasing its own file of random length (empty files
-// included) on one shared disk, so freed blocks are reallocated across
-// workers. Run under -race this is the data-race test for the Disk's
-// locking and the file store's pooled buffers.
+// TestConcurrentWriters drives many goroutines, each writing and then
+// reading back its own file on one shared disk. Run under -race this is
+// the data-race test for the Disk's locking and the file store's pooled
+// buffers.
 func TestConcurrentWriters(t *testing.T) {
+	for _, backend := range []string{"mem", "file"} {
+		t.Run(backend, func(t *testing.T) {
+			var d *Disk
+			var err error
+			if backend == "file" {
+				d, err = NewFileBackedDisk(t.TempDir(), 128)
+			} else {
+				d, err = NewDisk(128)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+
+			const workers = 8
+			var wg sync.WaitGroup
+			errs := make([]error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					errs[w] = func() error {
+						f := NewFile(d)
+						wr := f.NewWriter()
+						// 100-byte payloads: partial flushes throughout.
+						payload := bytes.Repeat([]byte{byte(w + 1)}, 100)
+						for i := 0; i < 50; i++ {
+							if _, err := wr.Write(payload); err != nil {
+								return err
+							}
+						}
+						if err := wr.Close(); err != nil {
+							return err
+						}
+						got, err := io.ReadAll(f.NewReader())
+						if err != nil {
+							return err
+						}
+						if len(got) != 50*100 {
+							return fmt.Errorf("worker %d: length %d", w, len(got))
+						}
+						for i, b := range got {
+							if b != byte(w+1) {
+								return fmt.Errorf("worker %d: byte %d = %d", w, i, b)
+							}
+						}
+						return f.Release()
+					}()
+				}(w)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := d.InUse(); got != 0 {
+				t.Fatalf("InUse = %d after all files released", got)
+			}
+		})
+	}
+}
+
+// TestPipelineConcurrentStreams runs the parallel solver's stream usage:
+// many goroutines, each repeatedly pushing a file of random length (empty
+// files included) through write, read-back and release on one shared
+// disk, so freed blocks are reallocated across workers. Streams are
+// synchronous; under -race this checks that block reuse between workers
+// never hands one worker another's bytes.
+func TestPipelineConcurrentStreams(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) {
 			var d *Disk
